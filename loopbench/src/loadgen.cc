@@ -29,16 +29,21 @@ bool SpecFor(const std::string& name, bool tiny, WorkloadSpec* spec) {
     // those rounds into view_fresh_p95_ms's top 5% (its spread across
     // seeds went from ~0.2 to 0.3-0.6).
     s.slices = 1;
-    s.setups = 5;
+    s.setups = 9;
   } else if (name == "serve_catalog") {
     // The same serving mix over a catalog whose search graph is larger
     // than the last-level cache, with sharded terminal-local search.
     s.stream_sources = tiny ? 2000 : 100000;
     s.sharded = true;
     // Every view holds its own copy of the ~130 MB search graph, and a
-    // registration rebuilds them all: 8 views keep one run near 1.5 GB.
-    s.views = 8;
-    s.feedback_interval_ms = 50.0;
+    // registration rebuilds them all: 4 views keep a registration near
+    // 3 s and one run near 1 GB.
+    s.views = 4;
+    // ApplyFeedback runs MIRA's own top-k search, which sharded_search
+    // does not shard (QSystemConfig::mira.top_k keeps its default), so
+    // its cost grows with the joined part of the catalog: feedback comes
+    // once a second, which keeps the writer on its schedule.
+    s.feedback_interval_ms = 1000.0;
     s.tail_registrations = tiny ? 2 : 4;
     // One slice: registrations and the restarts come after the whole
     // window. Both leave every view with a freshly built engine whose
@@ -47,8 +52,7 @@ bool SpecFor(const std::string& name, bool tiny, WorkloadSpec* spec) {
     s.restart_cycles = tiny ? 1 : 6;
     s.slices = 1;
     s.setups = 1;
-    s.replays = tiny ? 2 : 4;
-    s.mira_replays = 4;
+    s.replays = 4;
   } else if (name == "onboard_restart") {
     // Write-heavy maintenance: registrations stream in the window with
     // feedback interleaved, then repeated warm restarts.
@@ -63,7 +67,7 @@ bool SpecFor(const std::string& name, bool tiny, WorkloadSpec* spec) {
     s.register_interval_ms = 660.0;
     s.feedback_interval_ms = 660.0;
     s.restart_cycles = tiny ? 2 : 20;
-    s.setups = tiny ? 1 : 3;
+    s.setups = 9;
   } else {
     return false;
   }
@@ -71,7 +75,6 @@ bool SpecFor(const std::string& name, bool tiny, WorkloadSpec* spec) {
     s.views = 4;
     s.setups = 1;
     s.replays = 2;
-    s.mira_replays = 2;
     s.slices = 2;
   }
   *spec = s;
@@ -269,8 +272,7 @@ void BuildSchedule(const WorkloadSpec& spec, std::uint64_t seed,
     plan->tail.push_back(registration(0.0));
   }
   Zipf replay_zipf(num_views, kZipfTheta, seed * 37 + 11);
-  for (std::size_t i = 0; i < std::max(spec.replays, spec.mira_replays);
-       ++i) {
+  for (std::size_t i = 0; i < spec.replays; ++i) {
     plan->replay_views.push_back(
         static_cast<std::uint32_t>(replay_zipf.Next()));
   }

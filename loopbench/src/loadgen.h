@@ -48,8 +48,7 @@ struct WorkloadSpec {
   // The run alternates serve / onboard / restart this many times.
   std::size_t slices = 10;
   std::size_t setups = 3;          // set-ups timed for setup_s
-  std::size_t replays = 8;         // traced per-layer query replays
-  std::size_t mira_replays = 8;    // traced MIRA update replays
+  std::size_t replays = 8;         // traced query and MIRA update replays
   bool tiny = false;               // the benchmark's own smoke size
 };
 

@@ -115,7 +115,8 @@ class LoopBenchTest(unittest.TestCase):
             _, report = self.parsed(workload, 1)
             for name in ("feedback classifications == views x moved rounds",
                          "structural skips + rebuilds == views x registrations",
-                         "sp cache hits + misses cover its entries",
+                         "warm lookups == cold lookups",
+                         "warm search == cold search",
                          "replay children account for the root within 5%",
                          "replay == QueryView"):
                 self.assertIn(name, report["checks"])
