@@ -97,9 +97,10 @@ inline std::unique_ptr<TrialEnv> MakeTrialEnv(
   auto status = env->view->Refresh(env->graph, env->existing, env->index,
                                    env->model.get(), *env->weights);
   if (!status.ok()) return nullptr;
-  env->context = align::ContextFromView(*env->view, env->graph, env->space,
-                                        *env->weights, /*top_y=*/2,
-                                        preferential_budget);
+  env->context = align::ContextFromView(
+      *env->view, env->graph,
+      align::VertexPrior(env->graph, env->space, *env->weights),
+      *env->weights, /*top_y=*/2, preferential_budget);
   return env;
 }
 
@@ -142,9 +143,10 @@ inline void CalibrateTrialEnv(TrialEnv* env, const data::GbcoTrial& trial,
     Q_CHECK_OK(env->view->Refresh(env->graph, env->existing, env->index,
                                   env->model.get(), *env->weights));
   }
-  env->context = align::ContextFromView(*env->view, env->graph, env->space,
-                                        *env->weights, /*top_y=*/2,
-                                        preferential_budget);
+  env->context = align::ContextFromView(
+      *env->view, env->graph,
+      align::VertexPrior(env->graph, env->space, *env->weights),
+      *env->weights, /*top_y=*/2, preferential_budget);
 }
 
 // Aligns every new source of the trial (registered progressively, as a

@@ -183,22 +183,22 @@ util::Status QSystem::RunInitialAlignment() {
   return RefreshAllViewsLocked();
 }
 
-align::AlignContext QSystem::ContextFromView(
-    const query::TopKView& view) const {
-  return align::ContextFromView(view, graph_, space_, weights_,
-                                config_.top_y, config_.preferential_budget);
-}
-
 util::Result<align::AlignerStats> QSystem::AlignAgainstViews(
     const relational::DataSource& source) {
   align::AlignerStats stats;
   std::vector<match::AlignmentCandidate> all;
 
   bool any_view = false;
+  // The vertex prior depends on the graph and weights only, neither of
+  // which moves during this loop: compute it once for all views.
+  std::vector<std::pair<graph::NodeId, double>> vertex_prior;
   for (const auto& view : views_) {
     if (!view->refreshed()) continue;
+    if (!any_view) vertex_prior = align::VertexPrior(graph_, space_, weights_);
     any_view = true;
-    align::AlignContext ctx = ContextFromView(*view);
+    align::AlignContext ctx =
+        align::ContextFromView(*view, graph_, vertex_prior, weights_,
+                               config_.top_y, config_.preferential_budget);
     for (match::Matcher* matcher : EnabledMatchers()) {
       Q_ASSIGN_OR_RETURN(
           std::vector<match::AlignmentCandidate> candidates,

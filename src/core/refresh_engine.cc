@@ -174,7 +174,7 @@ RefreshEngine::GateOutcome RefreshEngine::RunRelevanceGate(
 util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
     Slot* slot, const graph::SearchGraph& base, const text::TextIndex* index,
     graph::CostModel* model, const graph::WeightVector& weights,
-    bool allow_rebuild, bool run_gate, RefreshEngineStats* stats) {
+    bool allow_sync, bool run_gate, RefreshEngineStats* stats) {
   query::TopKView& view = *slot->view;
   const bool graph_moved = !slot->built ||
                            slot->graph_revision != base.revision();
@@ -193,85 +193,67 @@ util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
   const bool was_dirty = slot->dirty;
 
   // A finite association-cost threshold makes the query-graph topology a
-  // function of the weights (edges are pruned by current cost), so only
-  // the infinite-threshold default is eligible for any in-place path —
-  // including structural edge propagation, which relies on the query
-  // graph copying every base edge id-for-id.
+  // function of the weights (edges are pruned by current cost), so such a
+  // view re-syncs — which rebuilds it — on every reconcile.
   const bool weight_independent_topology =
       view.config().query_graph.association_cost_threshold ==
       std::numeric_limits<double>::infinity();
 
-  // --- classify the structural delta ------------------------------------
-  bool rebuild = !slot->built || !weight_independent_topology;
   // A prepared-but-unsearched slot: PrepareStructuralRepair (or an
   // earlier attempt whose search failed) already brought the cached
   // query graph and engine topology to this exact base revision, so only
   // reconciliation + search remain — work the async repair path can run.
   const bool already_prepared =
-      !rebuild && slot->dirty &&
+      slot->built && weight_independent_topology && slot->dirty &&
       slot->prepared_graph_revision == base.revision();
-  std::vector<graph::EdgeId> mutated_edges;
-  if ((rebuild || graph_moved) && !allow_rebuild && !already_prepared) {
-    // Async repairs handle pure weight deltas only: a rebuild mutates the
-    // shared feature space and a structural propagation mutates the
-    // cached query graph other threads may be reading. The scheduler
-    // routes these through the serial path instead.
+  const bool sync = !slot->built || !weight_independent_topology ||
+                    (graph_moved && !already_prepared);
+  if (sync && !allow_sync) {
+    // Async repairs handle pure weight deltas only: a sync mutates the
+    // cached query graph other threads may be reading and interns into
+    // the shared feature space. The scheduler routes these through the
+    // serial path instead.
     return util::Status::Internal(
-        "view needs the serial refresh path (rebuild or structural delta)");
-  }
-  if (!rebuild && graph_moved && !already_prepared) {
-    std::vector<graph::GraphDelta> graph_deltas;
-    if (!base.DeltaSince(slot->graph_revision, &graph_deltas)) {
-      rebuild = true;  // journal truncated: assume arbitrary change
-    } else {
-      for (const graph::GraphDelta& d : graph_deltas) {
-        if (d.kind != graph::GraphDeltaKind::kEdgeMutated) {
-          // Node/edge additions change what keyword matching can reach,
-          // node mutations can change labels/values: re-expand.
-          rebuild = true;
-          break;
-        }
-        mutated_edges.push_back(d.id);
-      }
-    }
-    if (!rebuild && !mutated_edges.empty()) {
-      std::sort(mutated_edges.begin(), mutated_edges.end());
-      mutated_edges.erase(
-          std::unique(mutated_edges.begin(), mutated_edges.end()),
-          mutated_edges.end());
-      // In-place base-edge mutations: patch the cached query graph
-      // instead of re-expanding it, then reprice exactly those edges
-      // below. The mutated FeatureVecs make the snapshot's feature->edge
-      // postings stale, so drop the index (rebuilt from the patched
-      // graph on the next delta re-cost).
-      if (view.PropagateBaseEdges(base, mutated_edges)) {
-        stats->structural_edges_propagated += mutated_edges.size();
-        slot->engine->InvalidateFeatureIndex();
-        slot->dirty = true;
-        slot->prepared_graph_revision = base.revision();
-      } else {
-        rebuild = true;
-      }
-    }
+        "view needs the serial refresh path (structural delta)");
   }
 
-  if (rebuild) {
-    Q_RETURN_NOT_OK(view.RebuildQueryGraph(base, *index, model, weights));
-    {
-      // Rebuilds run under the caller's exclusive serving gate (no
-      // SearchView in flight), but publish under serve_mu_ anyway so the
-      // engine swap and its matching weight copy stay one atomic unit.
-      std::lock_guard<std::mutex> lock(serve_mu_);
-      slot->engine = std::make_unique<steiner::FastSteinerEngine>(
-          view.query_graph().graph, weights,
-          view.config().top_k.use_sp_cache);
-      slot->serving_weights = SnapshotWeightsLocked(weights);
-    }
-    ++stats->snapshots_built;
+  // --- sync the cached query graph with the base ------------------------
+  std::vector<graph::EdgeId> mutated_edges;
+  if (sync) {
+    // The engine's CSR reflects the query graph as this engine last synced
+    // it. An out-of-band TopKView::Refresh may have rebuilt the graph at a
+    // later revision since; then even a topology-preserving sync needs a
+    // fresh CSR.
+    const bool engine_in_step =
+        slot->engine != nullptr &&
+        view.query_graph().base_revision == slot->prepared_graph_revision;
+    Q_ASSIGN_OR_RETURN(query::QueryGraphSync synced,
+                       view.SyncQueryGraph(base, *index, model, weights));
     slot->dirty = true;
     slot->prepared_graph_revision = base.revision();
-    outcome.run_search = true;
-    return outcome;
+    if (synced.topology_changed || !engine_in_step) {
+      // New nodes/edges (or a fresh build): re-extract the CSR. Syncs run
+      // under the caller's exclusive serving gate (no SearchView in
+      // flight), but publish under serve_mu_ anyway so the engine swap
+      // and its matching weight copy stay one atomic unit.
+      {
+        std::lock_guard<std::mutex> lock(serve_mu_);
+        slot->engine = std::make_unique<steiner::FastSteinerEngine>(
+            view.query_graph().graph, weights,
+            view.config().top_k.use_sp_cache);
+        slot->serving_weights = SnapshotWeightsLocked(weights);
+      }
+      ++stats->snapshots_built;
+      outcome.run_search = true;
+      return outcome;
+    }
+    // Same topology, base edges overwritten in place: reprice exactly
+    // those edges below. The mutated FeatureVecs make the snapshot's
+    // feature->edge postings stale, so drop the index (rebuilt from the
+    // synced graph on the next delta re-cost).
+    mutated_edges = std::move(synced.mutated_edges);
+    stats->structural_edges_propagated += mutated_edges.size();
+    slot->engine->InvalidateFeatureIndex();
   }
 
   // --- in-place reconciliation over unchanged topology -------------------
@@ -437,13 +419,17 @@ util::Status RefreshEngine::RefreshAll(const graph::SearchGraph& base,
   // snapshot with the current base state.
   RefreshEngineStats local;
   std::vector<std::size_t> pending;
+  // A view that fails to prepare (a keyword that no longer matches) keeps
+  // its last good snapshot; the others still refresh, and the first
+  // failure is returned at the end.
+  util::Status prepare_status = util::Status::OK();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     auto prepared = PrepareSlot(&slots_[i], base, &index, model, weights,
-                                /*allow_rebuild=*/true, /*run_gate=*/true,
+                                /*allow_sync=*/true, /*run_gate=*/true,
                                 &local);
     if (!prepared.ok()) {
-      MergeStats(local);
-      return prepared.status();
+      if (prepare_status.ok()) prepare_status = prepared.status();
+      continue;
     }
     if (prepared->run_search) {
       pending.push_back(i);
@@ -487,6 +473,7 @@ util::Status RefreshEngine::RefreshAll(const graph::SearchGraph& base,
       CommitSlot(&slots_[pending[j]], base, weights, /*searched=*/true);
     }
   }
+  Q_RETURN_NOT_OK(prepare_status);
   for (const util::Status& status : statuses) {
     Q_RETURN_NOT_OK(status);
   }
@@ -506,7 +493,7 @@ util::Status RefreshEngine::RefreshView(std::size_t slot_id,
   Slot& slot = slots_[slot_id];
   RefreshEngineStats local;
   auto prepared = PrepareSlot(&slot, base, &index, model, weights,
-                              /*allow_rebuild=*/true, /*run_gate=*/true,
+                              /*allow_sync=*/true, /*run_gate=*/true,
                               &local);
   if (!prepared.ok()) {
     MergeStats(local);
@@ -743,7 +730,7 @@ util::Result<bool> RefreshEngine::PrepareStructuralRepair(
   Slot& slot = slots_[slot_id];
   RefreshEngineStats local;
   auto prepared = PrepareSlot(&slot, base, &index, model, weights,
-                              /*allow_rebuild=*/true, /*run_gate=*/true,
+                              /*allow_sync=*/true, /*run_gate=*/true,
                               &local);
   if (!prepared.ok()) {
     MergeStats(local);
@@ -780,7 +767,7 @@ util::Status RefreshEngine::RepairViewAsync(std::size_t slot_id,
   // the queued search was unavoidable anyway.)
   auto prepared = PrepareSlot(&slot, base, /*index=*/nullptr,
                               /*model=*/nullptr, weights,
-                              /*allow_rebuild=*/false, /*run_gate=*/false,
+                              /*allow_sync=*/false, /*run_gate=*/false,
                               &local);
   if (!prepared.ok()) {
     MergeStats(local);

@@ -80,8 +80,8 @@ StructuralDecision ClassifyStructuralRelevance(
 // Aggregate counters for observability and the perf benches; cumulative
 // over the engine's lifetime.
 struct RefreshEngineStats {
-  // Full snapshot builds: query-graph re-expansion + CSR extraction (the
-  // *rebuild* classification, plus first-touch builds).
+  // CSR extractions after a query-graph sync that changed the topology
+  // (the *sync* classification with additions, plus first-touch builds).
   std::size_t snapshots_built = 0;
   // In-place refreshes: CSR re-costed (delta or full), topology kept.
   std::size_t snapshots_recosted = 0;
@@ -117,8 +117,8 @@ struct RefreshEngineStats {
   // Previews whose delta touched the certificate or exceeded the slack
   // and therefore fell through to the delta re-cost path.
   std::size_t relevance_fallthroughs = 0;
-  // Base-edge mutations propagated into cached query graphs in place of
-  // full rebuilds (the kEdgeMutated structural-delta path).
+  // Base-edge mutations a topology-preserving sync overwrote in cached
+  // query graphs and handed to the delta re-cost (kEdgeMutated records).
   std::size_t structural_edges_propagated = 0;
   // Shortest-path cache entries retained/dropped by selective
   // invalidation across delta re-costs.
@@ -189,17 +189,21 @@ enum class AsyncViewClass {
 // built against, bumps the engine generation when either moved, and per
 // generation classifies every view by reading the journals:
 //
-//   * rebuild       — topology may have changed (node/edge additions,
-//                     node mutations, a truncated structural journal, or
-//                     weight-dependent topology): phase 1 re-expands the
-//                     view's query graph and re-extracts its CSR;
+//   * sync          — the base graph moved (or the view is new, or its
+//                     topology depends on the weights): phase 1 brings
+//                     the cached query graph up to date by replaying the
+//                     base journal onto it (query::SyncQueryGraph, which
+//                     builds from scratch only when it cannot replay).
+//                     When the sync added nodes/edges or moved the
+//                     keyword expansion the CSR is re-extracted; when it
+//                     only overwrote base edges in place the view
+//                     continues with a delta re-cost of those edges;
 //   * full re-cost  — unchanged topology but the weight journal was
 //                     truncated or the delta was dense: the snapshot is
 //                     re-costed wholesale in place (CsrGraph::Recost) and
 //                     the shortest-path cache moves to a new generation;
-//   * delta re-cost — the weight delta (plus any in-place base-edge
-//                     mutations, propagated into the cached query graph
-//                     by TopKView::PropagateBaseEdges) maps through the
+//   * delta re-cost — the weight delta (plus any base edges a
+//                     topology-preserving sync overwrote) maps through the
 //                     snapshot's feature->edge postings to a sparse edge
 //                     set: only those edges are repriced
 //                     (CsrGraph::RecostDelta) and the shortest-path cache
@@ -265,7 +269,9 @@ class RefreshEngine {
   std::size_t num_views() const { return slots_.size(); }
 
   // Refreshes every registered view against the current base state,
-  // rebuilding/re-costing each snapshot at most once per generation.
+  // syncing/re-costing each snapshot at most once per generation. A view
+  // whose sync fails keeps its last good snapshot while the others still
+  // refresh; the first failure is returned.
   util::Status RefreshAll(const graph::SearchGraph& base,
                           const relational::Catalog& catalog,
                           const text::TextIndex& index,
@@ -332,11 +338,13 @@ class RefreshEngine {
                                       const text::TextIndex& index,
                                       const graph::WeightVector& weights);
 
-  // The synchronous half of one structural (onboarding) repair: rebuilds
-  // `slot`'s query graph + CSR snapshot against the current base state
-  // (PrepareSlot with rebuilds allowed) WITHOUT running the search, and
-  // returns whether a search is still needed. Mutates the shared feature
-  // space and replaces the slot engine, so the caller must hold its
+  // The synchronous half of one structural (onboarding) repair: syncs
+  // `slot`'s query graph + CSR snapshot with the current base state
+  // (PrepareSlot with syncs allowed) WITHOUT running the search, and
+  // returns whether a search is still needed. Fails — leaving the query
+  // graph, engine and published snapshot as they were — when a view
+  // keyword no longer matches. Mutates the shared feature space, the
+  // cached query graph and the slot engine, so the caller must hold its
   // exclusive serving gate (no SearchView in flight). On `true` the slot
   // is left dirty with its prepared revision recorded, so a subsequent
   // RepairViewAsync — the asynchronous half, running on the keyed task
@@ -378,12 +386,11 @@ class RefreshEngine {
     // date. The retry must re-run the search instead.
     bool dirty = false;
     // Base revision the cached query graph (and engine topology) was
-    // last brought to, even when the rebuild's search has not committed
-    // yet (CommitSlot records graph_revision only after a successful
-    // search). Only meaningful while `dirty`: a dirty slot whose
-    // prepared revision equals the current base revision needs no
-    // rebuild/propagation — just reconciliation + search — which lets
-    // the async repair path finish a prepared structural rebuild.
+    // last synced to, even when the sync's search has not committed yet
+    // (CommitSlot records graph_revision only after a successful search).
+    // A dirty slot whose prepared revision equals the current base
+    // revision needs no sync — just reconciliation + search — which lets
+    // the async repair path finish a prepared structural repair.
     std::uint64_t prepared_graph_revision = 0;
     // Serial of the view certificate produced by the last search this
     // engine committed. The relevance gate requires the view's current
@@ -449,13 +456,12 @@ class RefreshEngine {
                                     RefreshEngineStats* stats);
 
   // Brings `slot`'s query graph + CSR snapshot up to date with (base,
-  // weights), classifying the change as rebuild / full re-cost / delta
+  // weights), classifying the change as sync / full re-cost / delta
   // re-cost / skip from the delta journals (see class comment).
-  // Serial-only unless `allow_rebuild` is false (may mutate the model's
-  // feature space); with `allow_rebuild` false — the async repair path —
-  // any classification that needs the rebuild/structural machinery
-  // returns an Internal error instead (and `index`/`model` may be
-  // null). `run_gate` lets that path skip the relevance gate when the
+  // Serial-only unless `allow_sync` is false (may mutate the model's
+  // feature space); with `allow_sync` false — the async repair path —
+  // any classification that needs a query-graph sync returns an Internal
+  // error instead (and `index`/`model` may be null). `run_gate` lets that path skip the relevance gate when the
   // caller's classification already ran it for this delta (avoiding a
   // duplicate preview and double-counted gate stats). Stat deltas land
   // in `stats` (merged by the caller under stats_mu_, so concurrent
@@ -469,7 +475,7 @@ class RefreshEngine {
                                            const text::TextIndex* index,
                                            graph::CostModel* model,
                                            const graph::WeightVector& weights,
-                                           bool allow_rebuild, bool run_gate,
+                                           bool allow_sync, bool run_gate,
                                            RefreshEngineStats* stats);
 
   // Adds `delta`'s counters into stats_ under stats_mu_.

@@ -238,6 +238,82 @@ void SearchGraph::CompactAdjacency() {
   adj_arena_ = std::move(tight);
 }
 
+void SearchGraph::TruncateTo(std::size_t nodes, std::size_t edges) {
+  Q_CHECK(nodes <= nodes_.size() && edges <= edge_u_.size());
+  journal_.Truncate();
+  for (std::size_t e = edge_u_.size(); e-- > edges;) {
+    const EdgeId id = static_cast<EdgeId>(e);
+    for (NodeId end : {edge_u_[e], edge_v_[e]}) {
+      AdjSlot& slot = adj_[end];
+      Q_CHECK(slot.count > 0 &&
+              adj_arena_[slot.offset + slot.count - 1] == id);
+      --slot.count;
+    }
+    if (static_cast<EdgeKind>(edge_kind_[e]) == EdgeKind::kAssociation) {
+      auto it = association_index_.find(PairKey(edge_u_[e], edge_v_[e]));
+      if (it != association_index_.end() && it->second == id) {
+        association_index_.erase(it);
+      }
+    }
+    edge_joins_.erase(id);
+  }
+  edge_u_.resize(edges);
+  edge_v_.resize(edges);
+  edge_kind_.resize(edges);
+  edge_flags_.resize(edges);
+  edge_feature_.resize(edges);
+  edge_prov_.resize(edges);
+
+  for (std::size_t n = nodes; n < nodes_.size(); ++n) {
+    Q_CHECK(adj_[n].count == 0);
+    node_index_.erase(IndexKey(nodes_[n].kind, nodes_[n].label));
+    value_text_.erase(static_cast<NodeId>(n));
+  }
+  nodes_.resize(nodes);
+  adj_.resize(nodes);
+
+  // Popped nodes abandon their blocks; re-appending an overlay relocates
+  // blocks again. Compact once the garbage outweighs the live capacity so
+  // repeated truncate/append cycles stay bounded.
+  std::size_t live = 0;
+  for (const AdjSlot& slot : adj_) live += slot.capacity;
+  if (adj_arena_.size() > 2 * live) CompactAdjacency();
+}
+
+void SearchGraph::CompactPools() {
+  constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
+  FeatureVecPool features;
+  ProvenancePool provenance;
+  std::vector<std::uint32_t> feature_ids(feature_pool_.size(), kUnmapped);
+  std::vector<std::uint32_t> prov_ids(prov_pool_.size(), kUnmapped);
+  for (std::size_t e = 0; e < edge_feature_.size(); ++e) {
+    std::uint32_t& f = feature_ids[edge_feature_[e]];
+    if (f == kUnmapped) f = features.Intern(feature_pool_.at(edge_feature_[e]));
+    edge_feature_[e] = f;
+    std::uint32_t& p = prov_ids[edge_prov_[e]];
+    if (p == kUnmapped) p = provenance.Intern(prov_pool_.at(edge_prov_[e]));
+    edge_prov_[e] = p;
+  }
+  feature_pool_ = std::move(features);
+  prov_pool_ = std::move(provenance);
+}
+
+void SearchGraph::Reserve(std::size_t nodes, std::size_t edges) {
+  if (nodes > nodes_.capacity()) {
+    nodes_.reserve(nodes + nodes / 8);
+    adj_.reserve(nodes + nodes / 8);
+  }
+  if (edges > edge_u_.capacity()) {
+    const std::size_t n = edges + edges / 8;
+    edge_u_.reserve(n);
+    edge_v_.reserve(n);
+    edge_kind_.reserve(n);
+    edge_flags_.reserve(n);
+    edge_feature_.reserve(n);
+    edge_prov_.reserve(n);
+  }
+}
+
 EdgeId SearchGraph::AddEdge(Edge edge) {
   Q_CHECK(edge.u < nodes_.size() && edge.v < nodes_.size());
   Q_CHECK(edge.u != edge.v);

@@ -391,6 +391,31 @@ class SearchGraph {
   // relocation garbage dropped). Call once after bulk construction.
   void CompactAdjacency();
 
+  // Pops every node with id >= `nodes` and every edge with id >= `edges`:
+  // the inverse of appending them, provided no kept edge touches a popped
+  // node. Popped edges must be the tail of each endpoint's adjacency
+  // block, which holds whenever they were added after every kept edge
+  // (query graphs pop their keyword overlay this way). Popped ids leave
+  // the node index, value-text map, join map and association index; the
+  // arena is compacted when abandoned blocks outgrow the live ones. The
+  // revision advances and the journal history is dropped.
+  void TruncateTo(std::size_t nodes, std::size_t edges);
+
+  // Adjacency arena slots in use, relocation garbage included (the
+  // compaction trigger after a bulk copy).
+  std::size_t adjacency_arena_size() const { return adj_arena_.size(); }
+
+  // Rebuilds the feature and provenance pools from the entries live edges
+  // use, dropping the superseded ones mutation left behind. Payloads are
+  // unchanged; pool ids are renumbered.
+  void CompactPools();
+
+  // Ensures room for `nodes` nodes and `edges` edges without
+  // reallocating. When the node or edge arrays must grow they grow to an
+  // eighth beyond the request rather than doubling, so a copy that
+  // follows a growing base by small appends carries little slack.
+  void Reserve(std::size_t nodes, std::size_t edges);
+
   // Node of given kind with the given label, if any.
   std::optional<NodeId> FindNode(NodeKind kind, std::string_view label) const;
 

@@ -1,6 +1,8 @@
 #include "query/query_graph.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <optional>
 
 #include "util/logging.h"
@@ -57,6 +59,212 @@ void CopyGraphFiltered(const graph::SearchGraph& base,
   }
 }
 
+using MatchSets = std::vector<std::vector<text::ScoredDoc>>;
+
+// Whether the overlay would attach `doc` to a node: relation documents to
+// their relation node, attribute and value documents (via a value node)
+// to their attribute node.
+bool HasMatchTarget(const graph::SearchGraph& graph,
+                    const text::Document& doc) {
+  if (doc.kind == text::DocKind::kRelationName) {
+    return graph.FindRelationNode(doc.attr.RelationQualifiedName())
+        .has_value();
+  }
+  return graph.FindAttributeNode(doc.attr).has_value();
+}
+
+// Runs every keyword's text match and checks, against `base`, that each
+// keyword gets at least one match edge. Every query graph holds all of
+// base's nodes, so this decides success before anything is built.
+util::Result<MatchSets> MatchKeywords(const graph::SearchGraph& base,
+                                      const text::TextIndex& index,
+                                      const std::vector<std::string>& keywords,
+                                      const QueryGraphOptions& options) {
+  MatchSets matches;
+  matches.reserve(keywords.size());
+  for (const std::string& keyword : keywords) {
+    matches.push_back(index.Search(keyword, options.min_similarity,
+                                   options.max_matches_per_keyword));
+    bool any = false;
+    for (const text::ScoredDoc& match : matches.back()) {
+      if (HasMatchTarget(base, index.documents()[match.doc_index])) {
+        any = true;
+        break;
+      }
+    }
+    if (!any) {
+      return util::Status::NotFound("keyword '" + keyword +
+                                    "' matched no schema element or value");
+    }
+  }
+  return matches;
+}
+
+// Appends the keyword overlay to `qg->graph`: per keyword, its keyword
+// node, then per match the (shared) value node with its membership edge
+// and the match edge. Sets keyword_nodes and keyword_fingerprint.
+void AppendOverlay(const text::TextIndex& index,
+                   const std::vector<std::string>& keywords,
+                   const MatchSets& matches, graph::CostModel* model,
+                   QueryGraph* qg) {
+  qg->keyword_nodes.clear();
+  qg->keyword_fingerprint = kFnvOffsetBasis;
+  for (std::size_t k = 0; k < keywords.size(); ++k) {
+    const std::string& keyword = keywords[k];
+    graph::NodeId kw_node =
+        qg->graph.AddNode(graph::NodeKind::kKeyword, "kw:" + keyword);
+    qg->keyword_nodes.push_back(kw_node);
+    MixKeywordMatches(&qg->keyword_fingerprint, keyword, matches[k]);
+    for (const text::ScoredDoc& match : matches[k]) {
+      const text::Document& doc = index.documents()[match.doc_index];
+      std::optional<graph::NodeId> target;
+      std::string owning_relation;
+      switch (doc.kind) {
+        case text::DocKind::kRelationName: {
+          target =
+              qg->graph.FindRelationNode(doc.attr.RelationQualifiedName());
+          owning_relation = doc.attr.RelationQualifiedName();
+          break;
+        }
+        case text::DocKind::kAttributeName: {
+          target = qg->graph.FindAttributeNode(doc.attr);
+          owning_relation = doc.attr.RelationQualifiedName();
+          break;
+        }
+        case text::DocKind::kValue: {
+          auto attr_node = qg->graph.FindAttributeNode(doc.attr);
+          if (!attr_node.has_value()) break;
+          owning_relation = doc.attr.RelationQualifiedName();
+          // Lazily materialize the value node (shared across keywords).
+          std::string label = doc.attr.ToString() + "=" + doc.text;
+          auto existing = qg->graph.FindNode(graph::NodeKind::kValue, label);
+          if (existing.has_value()) {
+            target = existing;
+          } else {
+            graph::NodeId vnode = qg->graph.AddNode(graph::NodeKind::kValue,
+                                                    label, doc.attr);
+            // Record the raw text for selection-predicate generation.
+            qg->graph.SetNodeValueText(vnode, doc.text);
+            graph::Edge membership;
+            membership.u = vnode;
+            membership.v = *attr_node;
+            membership.kind = graph::EdgeKind::kValueMembership;
+            membership.fixed_zero = true;
+            qg->graph.AddEdge(std::move(membership));
+            target = vnode;
+          }
+          break;
+        }
+      }
+      if (!target.has_value()) continue;
+
+      double mismatch = 1.0 - match.score;  // s_i of Fig. 3
+      graph::Edge edge;
+      edge.u = kw_node;
+      edge.v = *target;
+      edge.kind = graph::EdgeKind::kKeywordMatch;
+      std::string key = keyword + "|" + qg->graph.node(*target).label;
+      edge.features =
+          model->KeywordMatchFeatures(mismatch, owning_relation, key);
+      qg->graph.AddEdge(std::move(edge));
+    }
+  }
+}
+
+// Room for `base` plus the overlay `matches` can produce: per keyword its
+// node, per match at most a value node, a membership and a match edge.
+void ReserveForOverlay(const graph::SearchGraph& base, const MatchSets& matches,
+                       graph::SearchGraph* out) {
+  std::size_t nodes = base.num_nodes() + matches.size();
+  std::size_t edges = base.num_edges();
+  for (const auto& m : matches) {
+    nodes += m.size();
+    edges += 2 * m.size();
+  }
+  out->Reserve(nodes, edges);
+}
+
+bool InfiniteThreshold(const QueryGraphOptions& options) {
+  return options.association_cost_threshold ==
+         std::numeric_limits<double>::infinity();
+}
+
+// Rebuilds `qg` from scratch against `base`. The old graph is released
+// before the copy, so a rebuild never holds two copies of the base.
+void BuildFresh(const graph::SearchGraph& base, const text::TextIndex& index,
+                const std::vector<std::string>& keywords,
+                const MatchSets& matches, graph::CostModel* model,
+                const graph::WeightVector& weights,
+                const QueryGraphOptions& options, QueryGraph* qg) {
+  *qg = QueryGraph();
+  qg->keywords = keywords;
+  if (InfiniteThreshold(options)) {
+    // Every base edge survives: copy the whole store at once (about 3x
+    // faster than re-adding node by node at 300k nodes). The copy keeps
+    // the capacity reserved first, so appending the overlay does not
+    // reallocate, and drops the pool entries the base's own mutations
+    // superseded.
+    ReserveForOverlay(base, matches, &qg->graph);
+    qg->graph = base;
+    qg->graph.CompactPools();
+    // Only the base graph's delta journal is ever read (the RefreshEngine
+    // classifies views from base.DeltaSince); keep the copy's journal
+    // minimal. TruncateTo with the current sizes pops nothing but drops
+    // the inherited records.
+    qg->graph.set_max_journal_entries(1);
+    qg->graph.TruncateTo(base.num_nodes(), base.num_edges());
+    // Relocation garbage the base accumulated while growing is dead
+    // weight in every copy.
+    if (qg->graph.adjacency_arena_size() > 2 * base.num_edges()) {
+      qg->graph.CompactAdjacency();
+    }
+    qg->mirrors_base = true;
+    qg->base_revision = base.revision();
+    qg->base_nodes = base.num_nodes();
+    qg->base_edges = base.num_edges();
+  } else {
+    qg->graph.set_max_journal_entries(1);
+    CopyGraphFiltered(base, weights, options.association_cost_threshold,
+                      &qg->graph);
+  }
+  AppendOverlay(index, keywords, matches, model, qg);
+}
+
+// Reads the journal window since `qg`'s mirrored revision into `deltas`
+// and checks that it replays onto the prefix: additions carry exactly the
+// next ids, mutations name existing ids, and the window ends at base's
+// current size. False means "build fresh".
+bool ReplayableWindow(const graph::SearchGraph& base, const QueryGraph& qg,
+                      std::vector<graph::GraphDelta>* deltas) {
+  if (!base.DeltaSince(qg.base_revision, deltas)) return false;
+  std::size_t nodes = qg.base_nodes;
+  std::size_t edges = qg.base_edges;
+  for (const graph::GraphDelta& d : *deltas) {
+    switch (d.kind) {
+      case graph::GraphDeltaKind::kNodeAdded:
+        if (d.id != nodes) return false;
+        ++nodes;
+        break;
+      case graph::GraphDeltaKind::kEdgeAdded:
+        if (d.id != edges) return false;
+        ++edges;
+        break;
+      case graph::GraphDeltaKind::kNodeMutated:
+        if (d.id >= nodes) return false;
+        break;
+      case graph::GraphDeltaKind::kEdgeMutated:
+        if (d.id >= edges) return false;
+        break;
+    }
+  }
+  return nodes == base.num_nodes() && edges == base.num_edges();
+}
+
+void SortUnique(std::vector<std::uint32_t>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
 }  // namespace
 
 std::uint64_t KeywordMatchFingerprint(const text::TextIndex& index,
@@ -75,85 +283,94 @@ util::Result<QueryGraph> BuildQueryGraph(
     const graph::SearchGraph& base, const text::TextIndex& index,
     const std::vector<std::string>& keywords, graph::CostModel* model,
     const graph::WeightVector& weights, const QueryGraphOptions& options) {
+  Q_ASSIGN_OR_RETURN(MatchSets matches,
+                     MatchKeywords(base, index, keywords, options));
   QueryGraph qg;
-  qg.keywords = keywords;
-  qg.keyword_fingerprint = kFnvOffsetBasis;
-  // Only the base graph's delta journal is ever read (the RefreshEngine
-  // classifies views from base.DeltaSince); a query-graph copy would just
-  // buffer one record per copied node/edge, so keep its journal capacity
-  // minimal. Its revision counter still advances normally.
-  qg.graph.set_max_journal_entries(1);
-  CopyGraphFiltered(base, weights, options.association_cost_threshold,
-                    &qg.graph);
+  BuildFresh(base, index, keywords, matches, model, weights, options, &qg);
+  return qg;
+}
 
-  for (const std::string& keyword : keywords) {
-    graph::NodeId kw_node =
-        qg.graph.AddNode(graph::NodeKind::kKeyword, "kw:" + keyword);
-    qg.keyword_nodes.push_back(kw_node);
+util::Result<QueryGraphSync> SyncQueryGraph(
+    const graph::SearchGraph& base, const text::TextIndex& index,
+    const std::vector<std::string>& keywords, graph::CostModel* model,
+    const graph::WeightVector& weights, const QueryGraphOptions& options,
+    QueryGraph* qg) {
+  // Step 1, before touching anything: a keyword without matches fails the
+  // sync with the graph as it was.
+  Q_ASSIGN_OR_RETURN(MatchSets matches,
+                     MatchKeywords(base, index, keywords, options));
+  QueryGraphSync sync;
+  std::vector<graph::GraphDelta> deltas;
+  if (!qg->mirrors_base || !InfiniteThreshold(options) ||
+      qg->keywords != keywords || !ReplayableWindow(base, *qg, &deltas)) {
+    BuildFresh(base, index, keywords, matches, model, weights, options, qg);
+    return sync;
+  }
 
-    auto matches = index.Search(keyword, options.min_similarity,
-                                options.max_matches_per_keyword);
-    MixKeywordMatches(&qg.keyword_fingerprint, keyword, matches);
-    std::size_t edges_added = 0;
-    for (const text::ScoredDoc& match : matches) {
-      const text::Document& doc = index.documents()[match.doc_index];
-      std::optional<graph::NodeId> target;
-      std::string owning_relation;
-      switch (doc.kind) {
-        case text::DocKind::kRelationName: {
-          target = qg.graph.FindRelationNode(doc.attr.RelationQualifiedName());
-          owning_relation = doc.attr.RelationQualifiedName();
-          break;
-        }
-        case text::DocKind::kAttributeName: {
-          target = qg.graph.FindAttributeNode(doc.attr);
-          owning_relation = doc.attr.RelationQualifiedName();
-          break;
-        }
-        case text::DocKind::kValue: {
-          auto attr_node = qg.graph.FindAttributeNode(doc.attr);
-          if (!attr_node.has_value()) break;
-          owning_relation = doc.attr.RelationQualifiedName();
-          // Lazily materialize the value node (shared across keywords).
-          std::string label = doc.attr.ToString() + "=" + doc.text;
-          auto existing = qg.graph.FindNode(graph::NodeKind::kValue, label);
-          if (existing.has_value()) {
-            target = existing;
-          } else {
-            graph::NodeId vnode = qg.graph.AddNode(graph::NodeKind::kValue,
-                                                   label, doc.attr);
-            // Record the raw text for selection-predicate generation.
-            qg.graph.SetNodeValueText(vnode, doc.text);
-            graph::Edge membership;
-            membership.u = vnode;
-            membership.v = *attr_node;
-            membership.kind = graph::EdgeKind::kValueMembership;
-            membership.fixed_zero = true;
-            qg.graph.AddEdge(std::move(membership));
-            target = vnode;
-          }
-          break;
-        }
+  sync.replayed = true;
+
+  // Step 2: pop the overlay.
+  const std::size_t old_nodes = qg->base_nodes;
+  const std::size_t old_edges = qg->base_edges;
+  const std::uint64_t old_fingerprint = qg->keyword_fingerprint;
+  qg->graph.TruncateTo(old_nodes, old_edges);
+
+  // Step 3: replay the window. Additions copy the entity's current state,
+  // so only mutations of entities that predate the window need an
+  // overwrite, and each needs just one.
+  ReserveForOverlay(base, matches, &qg->graph);
+  bool added = false;
+  std::vector<graph::NodeId> mutated_nodes;
+  for (const graph::GraphDelta& d : deltas) {
+    switch (d.kind) {
+      case graph::GraphDeltaKind::kNodeAdded: {
+        const graph::Node& node = base.node(d.id);
+        graph::NodeId id = qg->graph.AddNode(node.kind, node.label, node.attr);
+        Q_CHECK(id == d.id);
+        const std::string& value_text = base.node_value_text(d.id);
+        if (!value_text.empty()) qg->graph.SetNodeValueText(id, value_text);
+        added = true;
+        break;
       }
-      if (!target.has_value()) continue;
-
-      double mismatch = 1.0 - match.score;  // s_i of Fig. 3
-      graph::Edge edge;
-      edge.u = kw_node;
-      edge.v = *target;
-      edge.kind = graph::EdgeKind::kKeywordMatch;
-      std::string key = keyword + "|" + qg.graph.node(*target).label;
-      edge.features =
-          model->KeywordMatchFeatures(mismatch, owning_relation, key);
-      qg.graph.AddEdge(std::move(edge));
-      ++edges_added;
-    }
-    if (edges_added == 0) {
-      return util::Status::NotFound("keyword '" + keyword +
-                                    "' matched no schema element or value");
+      case graph::GraphDeltaKind::kEdgeAdded:
+        qg->graph.AddEdge(base.ExportEdge(d.id));
+        added = true;
+        break;
+      case graph::GraphDeltaKind::kNodeMutated:
+        if (d.id < old_nodes) mutated_nodes.push_back(d.id);
+        break;
+      case graph::GraphDeltaKind::kEdgeMutated:
+        if (d.id < old_edges) sync.mutated_edges.push_back(d.id);
+        break;
     }
   }
-  return qg;
+  SortUnique(&sync.mutated_edges);
+  for (graph::EdgeId e : sync.mutated_edges) {
+    qg->graph.OverwriteEdge(e, base.ExportEdge(e));
+  }
+  SortUnique(&mutated_nodes);
+  for (graph::NodeId n : mutated_nodes) {
+    qg->graph.SetNodeValueText(n, base.node_value_text(n));
+  }
+  qg->base_revision = base.revision();
+  qg->base_nodes = base.num_nodes();
+  qg->base_edges = base.num_edges();
+
+  // Step 4: the overlay, in BuildQueryGraph's order.
+  AppendOverlay(index, keywords, matches, model, qg);
+  sync.topology_changed = added || !mutated_nodes.empty() ||
+                          qg->keyword_fingerprint != old_fingerprint;
+
+  // Overwrites and re-appended overlay edges leave superseded pool entries
+  // that a fresh build would not have. Compacting once the churn reaches
+  // the edge count keeps them bounded at amortized O(1) per churned edge.
+  qg->pool_churn += sync.mutated_edges.size() +
+                    (qg->graph.num_edges() - qg->base_edges);
+  if (qg->pool_churn > qg->graph.num_edges()) {
+    qg->graph.CompactPools();
+    qg->pool_churn = 0;
+  }
+  return sync;
 }
 
 }  // namespace q::query

@@ -29,6 +29,14 @@ struct QueryGraphOptions {
 // (Sec. 2.2 / Fig. 3): a copy of the search graph plus one keyword node
 // per query term, lazily-materialized value nodes for matching tuples,
 // and weighted keyword-match edges.
+//
+// Layout: with the default infinite association_cost_threshold the copy
+// is id-for-id — nodes [0, base_nodes) and edges [0, base_edges) mirror
+// the base graph at base_revision — and the keyword overlay (keyword and
+// value nodes, their membership and match edges) follows as the tail.
+// That is what lets SyncQueryGraph pop the overlay, replay the base
+// journal onto the prefix and re-append the overlay instead of copying
+// the whole base again.
 struct QueryGraph {
   graph::SearchGraph graph;
   std::vector<std::string> keywords;
@@ -36,6 +44,15 @@ struct QueryGraph {
   // Fingerprint of the keyword->match expansion this graph was built
   // from (see KeywordMatchFingerprint below).
   std::uint64_t keyword_fingerprint = 0;
+  // Whether the prefix mirrors the base id-for-id (false for finite
+  // association thresholds, which drop edges, and for an unbuilt graph).
+  bool mirrors_base = false;
+  std::uint64_t base_revision = 0;
+  std::size_t base_nodes = 0;
+  std::size_t base_edges = 0;
+  // Edges re-interned into the pools since they were last compacted: each
+  // replaced payload may leave a superseded pool entry behind.
+  std::size_t pool_churn = 0;
 };
 
 // Order-sensitive FNV-1a style hash over exactly the match sets
@@ -56,6 +73,38 @@ util::Result<QueryGraph> BuildQueryGraph(
     const graph::SearchGraph& base, const text::TextIndex& index,
     const std::vector<std::string>& keywords, graph::CostModel* model,
     const graph::WeightVector& weights, const QueryGraphOptions& options);
+
+// What one SyncQueryGraph call changed.
+struct QueryGraphSync {
+  // The base journal was replayed onto the cached graph (false: the graph
+  // was built from scratch).
+  bool replayed = false;
+  // The node/edge set moved: a fresh build, base additions, a different
+  // keyword expansion, or a mutated base node (value text feeds query
+  // compilation, which no re-cost can see). Snapshots of the graph must be
+  // re-extracted.
+  bool topology_changed = true;
+  // Base edges overwritten in place (sorted, unique). When the topology
+  // did not change these are the only edges whose payload may differ.
+  std::vector<graph::EdgeId> mutated_edges;
+};
+
+// Brings `qg` up to date with `base`, leaving it equal to what
+// BuildQueryGraph(base, index, keywords, ...) returns now: same node and
+// edge ids, labels, payloads and edges_of order. Runs the text matches
+// first and fails with NotFound — `qg` untouched — exactly when
+// BuildQueryGraph would. Then, when `qg` mirrors an earlier revision of
+// `base` and the journal still reaches it with ids that line up, pops
+// the overlay, replays base.DeltaSince(qg->base_revision) onto the prefix
+// (additions append copies, mutations overwrite in place) and re-appends
+// the overlay. Otherwise — unbuilt graph, truncated journal, misaligned
+// record, other keywords, finite association threshold — it rebuilds
+// `qg` in place, releasing the old graph first.
+util::Result<QueryGraphSync> SyncQueryGraph(
+    const graph::SearchGraph& base, const text::TextIndex& index,
+    const std::vector<std::string>& keywords, graph::CostModel* model,
+    const graph::WeightVector& weights, const QueryGraphOptions& options,
+    QueryGraph* qg);
 
 }  // namespace q::query
 

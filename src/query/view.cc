@@ -30,26 +30,18 @@ util::Status TopKView::RebuildQueryGraph(const graph::SearchGraph& base,
   return util::Status::OK();
 }
 
-bool TopKView::PropagateBaseEdges(const graph::SearchGraph& base,
-                                  const std::vector<graph::EdgeId>& edges) {
-  if (!refreshed()) return false;  // no cached query graph to patch
-  // Verify-then-apply in two passes: a failed check must leave the cached
-  // graph untouched so the caller's rebuild starts from consistent state.
-  for (graph::EdgeId e : edges) {
-    if (e >= base.num_edges() || e >= query_graph_.graph.num_edges()) {
-      return false;
-    }
-    const graph::EdgeView src = base.edge(e);
-    const graph::EdgeView dst = query_graph_.graph.edge(e);
-    if (src.u != dst.u || src.v != dst.v || src.kind != dst.kind ||
-        src.fixed_zero != dst.fixed_zero) {
-      return false;
-    }
-  }
-  for (graph::EdgeId e : edges) {
-    query_graph_.graph.OverwriteEdge(e, base.ExportEdge(e));
-  }
-  return true;
+util::Result<QueryGraphSync> TopKView::SyncQueryGraph(
+    const graph::SearchGraph& base, const text::TextIndex& index,
+    graph::CostModel* model, const graph::WeightVector& weights) {
+  Q_ASSIGN_OR_RETURN(QueryGraphSync sync,
+                     query::SyncQueryGraph(base, index, keywords_, model,
+                                           weights, config_.query_graph,
+                                           &query_graph_));
+  // A moved topology renumbers what the certificate's edge ids refer to;
+  // an in-place sync keeps every id, and the re-cost paths judge the
+  // mutated payloads.
+  if (sync.topology_changed) certificate_.valid = false;
+  return sync;
 }
 
 util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(

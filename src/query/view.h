@@ -69,10 +69,11 @@ struct ViewResult {
 //
 // A refresh has two phases, exposed separately so the batched
 // RefreshEngine can skip or share work across views:
-//   1. RebuildQueryGraph — re-expand the base search graph for this
-//      view's keywords (graph copy + text-index matching). Skippable when
-//      only weights changed and the query-graph topology is
-//      weight-independent (see refresh_engine.h).
+//   1. RebuildQueryGraph / SyncQueryGraph — expand the base search graph
+//      for this view's keywords (graph copy + text-index matching), from
+//      scratch or by replaying the base journal onto the cached graph.
+//      Skippable when only weights changed and the query-graph topology
+//      is weight-independent (see refresh_engine.h).
 //   2. RunSearch — top-k Steiner search over the current query graph,
 //      tree compilation, execution, and ranked union. Optionally served
 //      from a caller-owned CSR snapshot.
@@ -117,26 +118,24 @@ class TopKView {
   // concurrent serving path (core::RefreshEngine::SearchView), which may
   // run any number of BuildSearchSnapshot calls on one view concurrently
   // with each other and with pinned engine re-costs, but NOT concurrently
-  // with RebuildQueryGraph/PropagateBaseEdges (those mutate query_graph_;
+  // with RebuildQueryGraph/SyncQueryGraph (those mutate query_graph_;
   // the serving gate upstream excludes them).
   util::Result<ViewSnapshot> BuildSearchSnapshot(
       const relational::Catalog& catalog, const graph::WeightVector& weights,
       steiner::FastSteinerEngine* shared_engine,
       const steiner::SnapshotPin* pin) const;
 
-  // Delta alternative to phase 1 for in-place base-edge mutations (the
-  // kEdgeMutated structural journal records): copies each listed base
-  // edge over the cached query graph's copy of it. Sound because a query
-  // graph built with the default infinite association_cost_threshold
-  // copies every base edge id-for-id (keyword/value additions only append
-  // after them), and keyword matching never reads edge state — so the
-  // patched cached graph is bit-identical to what RebuildQueryGraph would
-  // produce. Verifies before mutating and returns false — with the cached
-  // graph untouched — when any edge cannot be propagated in place (no
-  // cached graph yet, id out of range, or endpoints/kind/fixed_zero
-  // drift); the caller must then fall back to a full rebuild.
-  bool PropagateBaseEdges(const graph::SearchGraph& base,
-                          const std::vector<graph::EdgeId>& edges);
+  // Incremental phase 1 (the RefreshEngine's path): brings query_graph()
+  // up to date with `base` through query::SyncQueryGraph, replaying the
+  // base journal onto the cached graph when it can and rebuilding it in
+  // place otherwise. The result equals what RebuildQueryGraph would build.
+  // Fails — with the cached graph and certificate untouched — exactly
+  // when RebuildQueryGraph would. Same serial-only contract as
+  // RebuildQueryGraph.
+  util::Result<QueryGraphSync> SyncQueryGraph(const graph::SearchGraph& base,
+                                              const text::TextIndex& index,
+                                              graph::CostModel* model,
+                                              const graph::WeightVector& weights);
 
   const std::vector<std::string>& keywords() const { return keywords_; }
   const ViewConfig& config() const { return config_; }

@@ -56,10 +56,10 @@ class DeltaJournal {
   }
 
   // A dense change that no record list can describe: advances the
-  // revision and forgets all history.
+  // revision and forgets all history (releasing the records' storage).
   void Truncate() {
     ++revision_;
-    records_.clear();
+    std::vector<Record>().swap(records_);
     base_revision_ = revision_;
   }
 
