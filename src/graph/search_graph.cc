@@ -298,22 +298,6 @@ void SearchGraph::CompactPools() {
   prov_pool_ = std::move(provenance);
 }
 
-void SearchGraph::Reserve(std::size_t nodes, std::size_t edges) {
-  if (nodes > nodes_.capacity()) {
-    nodes_.reserve(nodes + nodes / 8);
-    adj_.reserve(nodes + nodes / 8);
-  }
-  if (edges > edge_u_.capacity()) {
-    const std::size_t n = edges + edges / 8;
-    edge_u_.reserve(n);
-    edge_v_.reserve(n);
-    edge_kind_.reserve(n);
-    edge_flags_.reserve(n);
-    edge_feature_.reserve(n);
-    edge_prov_.reserve(n);
-  }
-}
-
 EdgeId SearchGraph::AddEdge(Edge edge) {
   Q_CHECK(edge.u < nodes_.size() && edge.v < nodes_.size());
   Q_CHECK(edge.u != edge.v);

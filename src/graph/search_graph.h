@@ -401,20 +401,10 @@ class SearchGraph {
   // revision advances and the journal history is dropped.
   void TruncateTo(std::size_t nodes, std::size_t edges);
 
-  // Adjacency arena slots in use, relocation garbage included (the
-  // compaction trigger after a bulk copy).
-  std::size_t adjacency_arena_size() const { return adj_arena_.size(); }
-
   // Rebuilds the feature and provenance pools from the entries live edges
   // use, dropping the superseded ones mutation left behind. Payloads are
   // unchanged; pool ids are renumbered.
   void CompactPools();
-
-  // Ensures room for `nodes` nodes and `edges` edges without
-  // reallocating. When the node or edge arrays must grow they grow to an
-  // eighth beyond the request rather than doubling, so a copy that
-  // follows a growing base by small appends carries little slack.
-  void Reserve(std::size_t nodes, std::size_t edges);
 
   // Node of given kind with the given label, if any.
   std::optional<NodeId> FindNode(NodeKind kind, std::string_view label) const;

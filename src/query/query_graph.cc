@@ -171,26 +171,15 @@ void AppendOverlay(const text::TextIndex& index,
   }
 }
 
-// Room for `base` plus the overlay `matches` can produce: per keyword its
-// node, per match at most a value node, a membership and a match edge.
-void ReserveForOverlay(const graph::SearchGraph& base, const MatchSets& matches,
-                       graph::SearchGraph* out) {
-  std::size_t nodes = base.num_nodes() + matches.size();
-  std::size_t edges = base.num_edges();
-  for (const auto& m : matches) {
-    nodes += m.size();
-    edges += 2 * m.size();
-  }
-  out->Reserve(nodes, edges);
-}
-
 bool InfiniteThreshold(const QueryGraphOptions& options) {
   return options.association_cost_threshold ==
          std::numeric_limits<double>::infinity();
 }
 
 // Rebuilds `qg` from scratch against `base`. The old graph is released
-// before the copy, so a rebuild never holds two copies of the base.
+// before the copy, so a rebuild never holds two copies of the base. With
+// an infinite threshold the filtered copy drops nothing, so the prefix
+// mirrors the base id for id and later syncs can replay onto it.
 void BuildFresh(const graph::SearchGraph& base, const text::TextIndex& index,
                 const std::vector<std::string>& keywords,
                 const MatchSets& matches, graph::CostModel* model,
@@ -198,34 +187,16 @@ void BuildFresh(const graph::SearchGraph& base, const text::TextIndex& index,
                 const QueryGraphOptions& options, QueryGraph* qg) {
   *qg = QueryGraph();
   qg->keywords = keywords;
+  // Only the base graph's delta journal is ever read (the RefreshEngine
+  // classifies views from base.DeltaSince); keep the copy's minimal.
+  qg->graph.set_max_journal_entries(1);
+  CopyGraphFiltered(base, weights, options.association_cost_threshold,
+                    &qg->graph);
   if (InfiniteThreshold(options)) {
-    // Every base edge survives: copy the whole store at once (about 3x
-    // faster than re-adding node by node at 300k nodes). The copy keeps
-    // the capacity reserved first, so appending the overlay does not
-    // reallocate, and drops the pool entries the base's own mutations
-    // superseded.
-    ReserveForOverlay(base, matches, &qg->graph);
-    qg->graph = base;
-    qg->graph.CompactPools();
-    // Only the base graph's delta journal is ever read (the RefreshEngine
-    // classifies views from base.DeltaSince); keep the copy's journal
-    // minimal. TruncateTo with the current sizes pops nothing but drops
-    // the inherited records.
-    qg->graph.set_max_journal_entries(1);
-    qg->graph.TruncateTo(base.num_nodes(), base.num_edges());
-    // Relocation garbage the base accumulated while growing is dead
-    // weight in every copy.
-    if (qg->graph.adjacency_arena_size() > 2 * base.num_edges()) {
-      qg->graph.CompactAdjacency();
-    }
     qg->mirrors_base = true;
     qg->base_revision = base.revision();
     qg->base_nodes = base.num_nodes();
     qg->base_edges = base.num_edges();
-  } else {
-    qg->graph.set_max_journal_entries(1);
-    CopyGraphFiltered(base, weights, options.association_cost_threshold,
-                      &qg->graph);
   }
   AppendOverlay(index, keywords, matches, model, qg);
 }
@@ -318,7 +289,6 @@ util::Result<QueryGraphSync> SyncQueryGraph(
   // Step 3: replay the window. Additions copy the entity's current state,
   // so only mutations of entities that predate the window need an
   // overwrite, and each needs just one.
-  ReserveForOverlay(base, matches, &qg->graph);
   bool added = false;
   std::vector<graph::NodeId> mutated_nodes;
   for (const graph::GraphDelta& d : deltas) {

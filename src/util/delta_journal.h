@@ -56,10 +56,10 @@ class DeltaJournal {
   }
 
   // A dense change that no record list can describe: advances the
-  // revision and forgets all history (releasing the records' storage).
+  // revision and forgets all history.
   void Truncate() {
     ++revision_;
-    std::vector<Record>().swap(records_);
+    records_.clear();
     base_revision_ = revision_;
   }
 

@@ -10,7 +10,9 @@
 //     BuildQueryGraph node for node, edge for edge and in edges_of order
 //     — for graphs synced every step, graphs left behind for several
 //     steps, a finite association threshold (always rebuilt), and a base
-//     whose tiny journal forces the rebuild fallback;
+//     whose tiny journal forces the rebuild fallback — and, after every
+//     sync barrier, also equals the filtered element-by-element copy at
+//     the largest finite threshold;
 //   * a view whose graph was rebuilt out of band gets a fresh snapshot;
 //   * a sync that fails (a view keyword stops matching) leaves the view's
 //     query graph, engine and published snapshot as they were, and a
@@ -19,6 +21,7 @@
 // Runs under the ctest `stress` label.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -102,6 +105,33 @@ QueryGraph FreshBuild(core::QSystem* q, const std::vector<std::string>& kws,
                                &q->cost_model(), q->weights(), options);
   Q_CHECK_OK(built.status());
   return std::move(built).value();
+}
+
+// The same build through the filtered element-by-element copy at the
+// largest finite association threshold, with the mirror bookkeeping an
+// infinite-threshold build records filled in. When no association edge
+// costs infinity the filter keeps every edge, so synced graphs must equal
+// this too: it pins them to the plain copy rather than to whatever
+// BuildQueryGraph does for an infinite threshold.
+QueryGraph FilteredCopyBuild(core::QSystem* q,
+                             const std::vector<std::string>& kws,
+                             const QueryGraphOptions& options) {
+  QueryGraphOptions filtered = options;
+  filtered.association_cost_threshold = std::numeric_limits<double>::max();
+  QueryGraph qg = FreshBuild(q, kws, filtered);
+  EXPECT_FALSE(qg.mirrors_base);
+  const graph::SearchGraph& base = q->search_graph();
+  for (EdgeId e = 0; e < base.num_edges(); ++e) {
+    if (base.edge(e).kind != graph::EdgeKind::kAssociation) continue;
+    EXPECT_LE(base.EdgeCost(e, q->weights()),
+              filtered.association_cost_threshold)
+        << "association edge " << e;
+  }
+  qg.mirrors_base = true;
+  qg.base_revision = base.revision();
+  qg.base_nodes = base.num_nodes();
+  qg.base_edges = base.num_edges();
+  return qg;
 }
 
 // --- SearchGraph::TruncateTo ------------------------------------------------
@@ -335,6 +365,12 @@ void RunRandomizedDifferential(std::size_t journal_entries,
             h.q->view(h.view_ids[i]).query_graph(),
             FreshBuild(h.q.get(), h.dataset.keyword_queries[i], h.options()),
             vlabel);
+        if (::testing::Test::HasFatalFailure()) return;
+        ExpectSameQueryGraph(h.q->view(h.view_ids[i]).query_graph(),
+                             FilteredCopyBuild(h.q.get(),
+                                               h.dataset.keyword_queries[i],
+                                               h.options()),
+                             vlabel + " vs filtered copy");
         if (::testing::Test::HasFatalFailure()) return;
         auto served = h.q->QueryView(h.view_ids[i]);
         ASSERT_TRUE(served.ok()) << vlabel;
